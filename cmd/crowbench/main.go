@@ -40,7 +40,6 @@ func run() error {
 		apps    = flag.String("apps", "", "comma-separated subset of single-core apps (default: full suite)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		jobs    = flag.Int("j", 1, "max simulations in flight (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 1, "goroutines advancing the simulated channels within one run (results are byte-identical at any value)")
 		timeout = flag.Duration("timeout", 0, "per-simulation wall-clock limit (0 = none)")
 		verify  = flag.Bool("verify", false, "run the correctness oracle alongside every simulation; violations fail the run")
 		verbose = flag.Bool("v", false, "print progress per simulation run")
@@ -84,9 +83,6 @@ func run() error {
 	defer stop()
 
 	ropts := []exp.RunnerOption{exp.Workers(*jobs), exp.WithContext(ctx)}
-	if *shards > 1 {
-		ropts = append(ropts, exp.Shards(*shards))
-	}
 	if *timeout > 0 {
 		ropts = append(ropts, exp.Timeout(*timeout))
 	}

@@ -35,6 +35,15 @@ import (
 	"crowdram/internal/service"
 )
 
+// Connection timeouts. A client that trickles its request headers, or an
+// idle keep-alive connection, cannot hold a server goroutine forever. There
+// is deliberately no write timeout: /events follow streams stay open for
+// the life of a job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "crowserve:", err)
@@ -116,7 +125,12 @@ func run() error {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"crowdram/internal/dram"
 	"crowdram/internal/retention"
 )
@@ -24,8 +22,7 @@ type RAIDR struct {
 	Profile *retention.Profile
 
 	// RowRefreshes counts the row-granular weak-row refresh operations
-	// queued to the controllers (updated atomically: the sharded tick loop
-	// services refresh from per-channel goroutines concurrently).
+	// queued to the controllers.
 	RowRefreshes int64
 
 	base    dram.ActTimings
@@ -85,7 +82,7 @@ func (r *RAIDR) OnRefreshRows(channel, rank, bank, startRow, n int) {
 					Kind:   dram.ActSingle,
 					Timing: r.base,
 				})
-				atomic.AddInt64(&r.RowRefreshes, 1)
+				r.RowRefreshes++
 			}
 		}
 	}

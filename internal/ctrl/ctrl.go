@@ -517,9 +517,9 @@ func (c *Controller) NextEvent(now int64) int64 {
 }
 
 // Tick advances the controller by one DRAM cycle, issuing at most one
-// command. It is TickEvents followed by TickSchedule; the sharded tick loop
-// (internal/sim) drives the halves separately so completion delivery can be
-// serialized across channels while scheduling runs in parallel.
+// command. It is TickEvents followed by TickSchedule; the halves stay
+// separate methods because perfbench's profile attributes scheduling time
+// (ctrl.schedule_pct) to the TickSchedule frame.
 func (c *Controller) Tick(now int64) {
 	c.TickEvents(now)
 	c.TickSchedule(now)
@@ -536,31 +536,6 @@ func (c *Controller) TickEvents(now int64) {
 			e.req.Done(now, e.req.Line)
 		}
 		c.PutRequest(e.req)
-	}
-}
-
-// TickEventsDeferred is TickEvents with delivery detached: events due at now
-// are popped in the exact order TickEvents would fire them, appended to buf,
-// and returned for a later CompleteDeferred. The sharded tick loop uses this
-// to pop per-channel events concurrently while the completion callbacks —
-// which touch the shared LLC — run on one goroutine in fixed channel order.
-func (c *Controller) TickEventsDeferred(now int64, buf []*Request) []*Request {
-	c.Dev.Tick(now)
-	for len(c.events) > 0 && c.events[0].at <= now {
-		buf = append(buf, c.events.pop().req)
-	}
-	return buf
-}
-
-// CompleteDeferred fires and recycles completions collected by
-// TickEventsDeferred, replicating TickEvents' per-event sequence: the Done
-// callback, then recycling. The slice contents are consumed.
-func (c *Controller) CompleteDeferred(now int64, reqs []*Request) {
-	for _, r := range reqs {
-		if r.Done != nil {
-			r.Done(now, r.Line)
-		}
-		c.PutRequest(r)
 	}
 }
 

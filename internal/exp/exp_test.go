@@ -149,19 +149,18 @@ func TestPlanCoversReduce(t *testing.T) {
 
 // TestParallelMatchesSequential is the determinism guard: rendered output
 // must be byte-identical whether runs execute on one worker or four, in
-// whatever order the scheduler picks.
+// whatever order the scheduler picks. The RowHammer lab (hammerlab, tenant)
+// rides along so its flip model and mitigations also run at one worker.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment (QuickScale)")
 	}
+	sel, err := Select([]string{"fig8", "fig9", "hammerlab", "tenant"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	render := func(workers int) string {
 		r := NewRunner(QuickScale(), Workers(workers))
-		sel := []Experiment{}
-		for _, e := range Experiments() {
-			if e.Name == "fig8" || e.Name == "fig9" {
-				sel = append(sel, e)
-			}
-		}
 		if err := r.Execute(PlanAll(r, sel)); err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@
 // no real data — the oracle's shadow memory stores write versions — so the
 // worst-case/best-case pattern split is a deterministic proxy keyed on the
 // row address). Everything is derived with splitmix64 from Config.Seed, so
-// runs are byte-identical at any worker or shard count.
+// runs are byte-identical at any worker count.
 package hammer
 
 import (
@@ -73,8 +73,7 @@ type Findings struct {
 }
 
 // Model is the per-system flip model. Attach one Observer per channel; each
-// channel's state is touched only by that channel's observer, so the sharded
-// tick loop drives it race-free exactly like the oracle.
+// channel's state is touched only by that channel's observer.
 type Model struct {
 	cfg   Config
 	geo   dram.Geometry

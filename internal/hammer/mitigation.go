@@ -197,8 +197,7 @@ func (s *Shield) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
 // OnActivate implements core.Mechanism: after delegating, PARA draws once
 // per regular-row activation and, on a hit, enqueues a refresh activation of
 // a random immediate neighbour. The draw is a seeded counter hash, so runs
-// are deterministic at any shard count (each channel's counter is touched
-// only by that channel's goroutine).
+// are deterministic.
 func (s *Shield) OnActivate(a dram.Addr, d core.ActDecision, cycle int64) {
 	s.inner.OnActivate(a, d, cycle)
 	if s.paraPerMille == 0 || d.Kind == dram.ActCopyRow {

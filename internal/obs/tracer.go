@@ -48,22 +48,12 @@ type Event struct {
 // recording never allocates and never grows, the oldest events are
 // overwritten once the ring is full, and the overwrite count is reported so
 // a truncated export is never mistaken for a complete one. It is not
-// goroutine-safe on its own; a serial simulation drives it from its single
-// loop goroutine, and a sharded one brackets each parallel DRAM tick with
-// StageWindow/DrainStaged so per-channel goroutines write only their own
-// staging slice while the ring itself stays single-writer.
+// goroutine-safe; the simulation drives it from its single loop goroutine.
 type Tracer struct {
 	buf   []Event
 	next  int   // ring write index
 	full  bool  // the ring has wrapped at least once
 	total int64 // events ever recorded
-
-	// staging routes records into per-channel buffers during a parallel
-	// tick window; DrainStaged merges them into the ring in channel order,
-	// which is the order the serial loop would have recorded them (all
-	// in-window events come from the channels' scheduling phase).
-	staging bool
-	stage   [][]Event
 
 	geo dram.Geometry
 	t   dram.Timing
@@ -71,25 +61,18 @@ type Tracer struct {
 
 // NewTracer returns a tracer with the given ring capacity for a system with
 // the given shape. Capacity must be positive.
-func NewTracer(capacity, channels int, geo dram.Geometry, t dram.Timing) *Tracer {
+func NewTracer(capacity int, geo dram.Geometry, t dram.Timing) *Tracer {
 	if capacity <= 0 {
 		panic("obs: tracer capacity must be positive")
 	}
 	return &Tracer{
-		buf:   make([]Event, 0, capacity),
-		stage: make([][]Event, channels),
-		geo:   geo, t: t,
+		buf: make([]Event, 0, capacity),
+		geo: geo, t: t,
 	}
 }
 
 // record appends one event, overwriting the oldest once the ring is full.
-// Inside a staged window the event parks in its channel's staging buffer
-// instead (each channel's goroutine owns exactly its own slice).
 func (t *Tracer) record(e Event) {
-	if t.staging {
-		t.stage[e.Ch] = append(t.stage[e.Ch], e)
-		return
-	}
 	t.total++
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, e)
@@ -100,24 +83,6 @@ func (t *Tracer) record(e Event) {
 	t.next++
 	if t.next == len(t.buf) {
 		t.next = 0
-	}
-}
-
-// StageWindow toggles per-channel staging around one parallel DRAM tick.
-// The caller must guarantee the window's records come from per-channel
-// goroutines with a happens-before edge to the matching DrainStaged (the
-// shard runner's epoch barriers provide it).
-func (t *Tracer) StageWindow(on bool) { t.staging = on }
-
-// DrainStaged merges the window's staged events into the ring in channel
-// order and ends the window.
-func (t *Tracer) DrainStaged() {
-	t.staging = false
-	for ch, evs := range t.stage {
-		for _, e := range evs {
-			t.record(e)
-		}
-		t.stage[ch] = t.stage[ch][:0]
 	}
 }
 

@@ -79,22 +79,6 @@ type Oracle struct {
 
 	counts  metrics.Counters
 	samples []string
-
-	// staging routes violations into per-channel buffers during a parallel
-	// DRAM tick (sim's shard runner brackets each tick with BeginWindow/
-	// EndWindow); EndWindow merges them in channel order, which is the order
-	// a serial tick reports them. Each channelState only ever reports
-	// violations for its own channel, so concurrent workers touch disjoint
-	// staging slices.
-	staging bool
-	stage   [][]stagedViolation
-}
-
-// stagedViolation is one violation parked during a parallel tick window; the
-// text is pre-formatted on the reporting goroutine.
-type stagedViolation struct {
-	class string
-	text  string
 }
 
 // New builds an oracle for a system of identical channels.
@@ -104,7 +88,6 @@ func New(cfg Config) *Oracle {
 	}
 	o := &Oracle{cfg: cfg, crow: cfg.T.CROW(), counts: metrics.Counters{}}
 	o.chans = make([]*channelState, cfg.Channels)
-	o.stage = make([][]stagedViolation, cfg.Channels)
 	groups := 0
 	if cfg.T.RowsPerRef > 0 {
 		groups = cfg.Geo.RowsPerBank / cfg.T.RowsPerRef
@@ -140,35 +123,9 @@ func (o *Oracle) Findings() Findings {
 }
 
 func (o *Oracle) violate(ch int, class, format string, args ...any) {
-	if o.staging {
-		o.stage[ch] = append(o.stage[ch], stagedViolation{class: class, text: fmt.Sprintf(format, args...)})
-		return
-	}
 	o.counts.Add(class, 1)
 	if len(o.samples) < o.cfg.MaxSamples {
 		o.samples = append(o.samples, fmt.Sprintf("ch%d %s: %s", ch, class, fmt.Sprintf(format, args...)))
-	}
-}
-
-// BeginWindow opens a parallel-tick staging window: until EndWindow,
-// violations park in per-channel buffers instead of the shared counters and
-// sample list. Finish and CheckStats run outside any window (end of run, on
-// the coordinating goroutine) and always take the direct path.
-func (o *Oracle) BeginWindow() { o.staging = true }
-
-// EndWindow closes the window, merging staged violations into the counters
-// and capped sample list in channel order — the order a serial tick's channel
-// loop reports them.
-func (o *Oracle) EndWindow() {
-	o.staging = false
-	for ch, vs := range o.stage {
-		for _, v := range vs {
-			o.counts.Add(v.class, 1)
-			if len(o.samples) < o.cfg.MaxSamples {
-				o.samples = append(o.samples, fmt.Sprintf("ch%d %s: %s", ch, v.class, v.text))
-			}
-		}
-		o.stage[ch] = o.stage[ch][:0]
 	}
 }
 

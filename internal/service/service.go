@@ -195,9 +195,6 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	if spec.TimeoutMS < 0 {
 		return nil, fmt.Errorf("%w: timeout_ms must be non-negative", ErrBadRequest)
 	}
-	if spec.Shards < 0 {
-		return nil, fmt.Errorf("%w: shards must be non-negative", ErrBadRequest)
-	}
 
 	s.pruneJobs()
 	s.mu.Lock()
@@ -414,9 +411,6 @@ func (s *Service) runJob(j *Job) {
 	}
 	if s.cfg.TelemetryInterval > 0 {
 		ropts = append(ropts, exp.Telemetry(s.cfg.TelemetryInterval))
-	}
-	if j.spec.Shards > 1 {
-		ropts = append(ropts, exp.Shards(j.spec.Shards))
 	}
 	runner := exp.NewRunner(s.cfg.Scale, ropts...)
 

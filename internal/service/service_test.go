@@ -166,37 +166,6 @@ func TestSubmitRunGet(t *testing.T) {
 	}
 }
 
-// TestShardsReachRunContext pins the spec→runner→context plumbing: a job
-// submitted with "shards" executes its simulations under a context carrying
-// that shard count (crow.RunContext turns it into sim.Config.Shards), and a
-// spec without it stays serial.
-func TestShardsReachRunContext(t *testing.T) {
-	var seen atomic.Int64
-	run := func(ctx context.Context, o crow.Options) (crow.Report, error) {
-		seen.Store(int64(crow.ShardsFrom(ctx)))
-		return crow.Report{Mechanism: o.Mechanism, IPC: []float64{1}}, nil
-	}
-	_, ts := newTestService(t, Config{Run: run})
-
-	st, resp := postJob(t, ts, `{"options": {"Mechanism": "crow-cache", "Workloads": ["mcf"]}, "shards": 4}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-	waitState(t, ts, st.ID, StateDone)
-	if got := seen.Load(); got != 4 {
-		t.Errorf("sharded job ran with ShardsFrom = %d, want 4", got)
-	}
-
-	st, resp = postJob(t, ts, `{"options": {"Mechanism": "crow-cache", "Workloads": ["lbm"]}}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-	waitState(t, ts, st.ID, StateDone)
-	if got := seen.Load(); got != 0 {
-		t.Errorf("serial job ran with ShardsFrom = %d, want 0", got)
-	}
-}
-
 // TestConcurrentDedup is the headline acceptance test: two concurrent
 // submissions with identical Options execute once on the engine
 // (singleflight as cross-request cache) and both jobs complete with
@@ -586,7 +555,6 @@ func TestBadRequests(t *testing.T) {
 		{"bad mechanism", `{"options": {"Mechanism": "warp-drive"}}`},
 		{"unknown spec field", `{"optionz": {}}`},
 		{"negative timeout", `{"experiment": "table1", "timeout_ms": -5}`},
-		{"negative shards", `{"experiment": "table1", "shards": -1}`},
 		{"not json", `hello`},
 	}
 	for _, c := range cases {

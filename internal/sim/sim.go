@@ -100,15 +100,6 @@ type Config struct {
 	// configs leave it zero.
 	MaxMeasureCycles int64
 
-	// Shards, when > 1, advances the DRAM channels on that many worker
-	// goroutines inside each DRAM tick (clamped to the channel count; see
-	// shard.go for the epoch/barrier protocol). Every run is byte-identical
-	// to the serial path at any shard count — completions and observer
-	// events are merged in fixed channel order — so Shards is a pure
-	// execution knob: it rides the run context (crow.WithShards), never the
-	// memoization key. 0 and 1 select today's serial loop.
-	Shards int
-
 	Seed int64
 }
 
@@ -212,17 +203,6 @@ type System struct {
 	// rowSpan/tenants drive the rowstripe translation (rowSpan 0 = hash).
 	rowSpan uint64
 	tenants uint64
-
-	// shr drives the per-channel parallel DRAM tick when Cfg.Shards > 1;
-	// nil selects the serial loop. Created and torn down by RunContext.
-	shr *shardRunner
-
-	// testSuppressT2 is a test-only fault hook: when set, a sharded run
-	// skips the scheduling half of the tick for channels the hook claims at
-	// that cycle, modeling a channel that misses its synchronization epoch.
-	// The oracle-under-parallelism tests use it to prove a broken barrier
-	// is caught by -verify.
-	testSuppressT2 func(ch int, now int64) bool
 }
 
 // memPort adapts the controllers to the cache's Memory interface.
@@ -232,7 +212,6 @@ func (m memPort) SendRead(lineAddr uint64, pref bool) bool {
 	s := m.s
 	a := s.Mapper.Decode(lineAddr)
 	c := s.Ctrls[a.Channel]
-	s.shr.syncChannel(a.Channel)
 	req := c.GetRequest()
 	req.Type = ctrl.Read
 	req.Addr = a
@@ -250,7 +229,6 @@ func (m memPort) SendWrite(lineAddr uint64) bool {
 	s := m.s
 	a := s.Mapper.Decode(lineAddr)
 	c := s.Ctrls[a.Channel]
-	s.shr.syncChannel(a.Channel)
 	req := c.GetRequest()
 	req.Type = ctrl.Write
 	req.Addr = a
@@ -413,12 +391,8 @@ func (s *System) tick() {
 	if int64(s.accum) >= s.ratioDen {
 		s.accum -= int(s.ratioDen)
 		s.dramCycle++
-		if s.shr != nil {
-			s.shr.tickDram(s.dramCycle)
-		} else {
-			for _, c := range s.Ctrls {
-				c.Tick(s.dramCycle)
-			}
+		for _, c := range s.Ctrls {
+			c.Tick(s.dramCycle)
 		}
 	}
 }
@@ -504,13 +478,6 @@ const cancelCheckMask = 1<<14 - 1
 // polls ctx periodically and abandons the run (returning ctx's error) once
 // it is canceled or past its deadline.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
-	if s.Cfg.Shards > 1 && len(s.Ctrls) > 1 && s.shr == nil {
-		s.shr = newShardRunner(s, s.Cfg.Shards)
-		defer func() {
-			s.shr.stop()
-			s.shr = nil
-		}()
-	}
 	// Warmup.
 	warmLimit := s.Cfg.WarmupInsts*int64(len(s.Cores))*10_000 + 10_000_000
 	if s.Cfg.MaxMeasureCycles > 0 && warmLimit > s.Cfg.MaxMeasureCycles {

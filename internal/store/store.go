@@ -52,7 +52,10 @@ type Envelope struct {
 	Key string `json:"key"`
 	// SHA256 is the hex checksum of Value; a mismatch marks corruption.
 	SHA256 string `json:"sha256"`
-	// SavedAt records the write time (informational).
+	// SavedAt records the write time (informational), truncated to whole
+	// seconds so it always marshals at the same width: an envelope's size
+	// then depends only on its key and value, which keeps the byte cap's
+	// arithmetic exact.
 	SavedAt time.Time `json:"saved_at"`
 	// Value is the JSON encoding of the stored result.
 	Value json.RawMessage `json:"value"`
@@ -237,7 +240,7 @@ func (s *Store[V]) put(key string, val V) error {
 		Schema:  s.schema,
 		Key:     key,
 		SHA256:  hex.EncodeToString(sum[:]),
-		SavedAt: time.Now().UTC(),
+		SavedAt: time.Now().UTC().Truncate(time.Second),
 		Value:   raw,
 	}
 	data, err := json.Marshal(env)
